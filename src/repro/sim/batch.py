@@ -24,6 +24,13 @@ evictions are applied directly to the per-set ``OrderedDict`` state
 writebacks included), and integer counters are accumulated per stride
 (see :meth:`BatchExecutor._cold_stride`).
 
+Strided ring walks (``load_ring``: context-switch cache pollution,
+point-lookup rings, operator cold probes) take one verified walk per
+rotation (:meth:`BatchExecutor._ring_steady`), which applies every
+L1D-miss outcome with per-probe cache mutations and bulk counters, and
+rings whose lines fit their L1D sets fold every rotation after the
+first into one bulk hit update (:meth:`BatchExecutor._ring_fast`).
+
 The batched path is **bit-identical** to the reference path: it performs
 the same set/LRU mutations in the same order and applies the same cycle
 and stall additions in the same order, so PMU counters, cache state,
@@ -118,6 +125,34 @@ class ReferenceExecutor:
             store(addr)
 
 
+class ExecStats:
+    """Fast-path coverage counters of a :class:`BatchExecutor`.
+
+    Plain integers, bumped once per executor call (never per probe).
+    Ring probes are counted by route: ``ring_folded`` (proven L1D hits
+    applied in bulk), ``ring_verified`` (the verified walk) and
+    ``ring_generic`` (the exact generic walk).  Each ``bail_*`` counts
+    the times the verified walk stopped for one reason: a probe that
+    could match a prefetcher tracker (``clip``: the walk runs that
+    probe's prefetcher step exactly and resumes behind it), an L1D hit
+    (``l1d_hit``: the hits go to the generic walk, then the walk
+    resumes), or — handing the rest of the rotation to the generic
+    walk — an idle tracker slot (``untrained``), a cycle count the bulk
+    add cannot reproduce exactly (``non_dyadic``), a line-space step of
+    one (``ext_unsafe``), or a hierarchy or prefetcher the walk does not
+    model (``config``).
+    """
+
+    __slots__ = ("ring_calls", "ring_folded", "ring_verified",
+                 "ring_generic", "bail_clip", "bail_untrained",
+                 "bail_non_dyadic", "bail_l1d_hit", "bail_ext_unsafe",
+                 "bail_config")
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+
 class BatchExecutor:
     """Run-level execution with the hierarchy walk inlined.
 
@@ -138,10 +173,15 @@ class BatchExecutor:
         #: that hit L1D on every line, or None.  See :meth:`scan_lines`.
         self._scan_memo = None
         #: Memoised ring visit cycles, keyed by
-        #: ``(base, n_lines, stride, cursor_class)`` — pure modular
+        #: ``(base, n_lines, step, cursor_class)`` — pure modular
         #: arithmetic over an immutable ring geometry, so entries never
         #: invalidate.  See :meth:`_ring_fast`.
         self._ring_memo: dict = {}
+        #: Verified-walk charges by ``(dependent, L2/L3/memory
+        #: latency)``.  See :meth:`_ring_price`.
+        self._ring_prices: dict = {}
+        #: Fast-path coverage; see :class:`ExecStats`.
+        self.stats = ExecStats()
         #: (offsets tuple, base mod line) -> (line-first offsets,
         #: word count, line count).  See :meth:`load_run`.
         self._run_memo: dict = {}
@@ -541,15 +581,27 @@ class BatchExecutor:
 
     def load_ring(self, base: int, cursor: int, stride: int, count: int,
                   n_lines: int, dependent: bool = False) -> int:
-        cpu = self.cpu
-        hier = cpu.hierarchy
+        """:meth:`ReferenceExecutor.load_ring`, one rotation at a time.
+
+        The walk revisits the same line after ``period`` steps, where
+        ``period = n_lines / gcd(stride, n_lines)``; the cursor values
+        within one rotation are pairwise distinct, so so are the lines
+        they touch.  Each rotation goes through :meth:`_ring_steady`,
+        the verified walk; the probes it refuses go to the exact generic
+        :meth:`_load_addrs`.  Rings that fit L1D fold every rotation
+        after the first (see :meth:`_ring_fast`).
+        """
         if count <= 0:
             return cursor
+        hier = self.cpu.hierarchy
+        stats = self.stats
+        stats.ring_calls += 1
         tcm = hier.tcm_region
         if (tcm is not None and base < tcm.end
                 and base + n_lines * LINE_SIZE > tcm.base):
             # Ring overlaps the TCM window: materialise the address walk
             # and reuse load_list's exact TCM handling.
+            stats.ring_generic += count
             addrs = []
             for _ in range(count):
                 cursor = (cursor + stride) % n_lines
@@ -557,136 +609,61 @@ class BatchExecutor:
             self.load_list(addrs, dependent)
             return cursor
         hier.mut_epoch += 1
-        l1 = hier.l1d
-        s1 = l1._sets
-        m1 = l1._set_mask
-        c = cpu.counters
-        if dependent:
-            lat_l1 = cpu._latency[LEVEL_L1D]
-            hit_cycles = lat_l1
-            hit_stall = lat_l1 - 1.0
-        else:
-            hit_cycles = cpu.timing.load_issue
-            hit_stall = 0.0
-        # The walk revisits the same line after `period` steps, where
-        # `period = n_lines / gcd(stride, n_lines)`; the cursor values
-        # within one rotation are pairwise distinct, so so are the lines
-        # they touch.  Process the walk one rotation at a time with the
-        # optimistic L1D-hit pass from load_list: hits are applied
-        # inline (move_to_end + bulk-priced), the first miss hands the
-        # rest of the rotation to the generic walk.
-        step = stride % n_lines
-        period = n_lines // gcd(step, n_lines) if step else 1
-        if (not dependent and step
-                and hier.l2 is not None and hier.l3 is not None):
-            return self._ring_fast(base, cursor, stride, count, n_lines,
-                                   period)
-        done = 0
-        while done < count:
-            chunk = min(period, count - done)
-            hits = 0
-            rest = None
-            for _ in range(chunk):
-                cursor = (cursor + stride) % n_lines
-                a = base + cursor * LINE_SIZE
-                if rest is not None:
-                    rest.append(a)
-                    continue
-                line = a >> LINE_SHIFT
-                set1 = s1[line & m1]
-                if line in set1:
-                    set1.move_to_end(line)
-                    hits += 1
-                else:
-                    rest = [a]
-            if hits:
-                l1.hits += hits
-                c.n_l1d += hits
-                c.l1d_hits += hits
-                c.n_load_inst += hits
-                c.cycles += hits * hit_cycles
-                if hit_stall:
-                    c.stall_cycles += hits * hit_stall
-            if rest is not None:
-                self._load_addrs(rest, dependent)
-            done += chunk
-            if rest is None and chunk == period:
-                # A full rotation just hit L1D on every one of its
-                # `period` distinct lines.  Replaying it touches exactly
-                # those lines in the same order: every access hits
-                # (hits never insert or evict), and per L1D set the
-                # rotation's lines are re-appended behind the others in
-                # the same relative order they already hold — a no-op on
-                # cache state.  All remaining full rotations therefore
-                # fold into one bulk hit update (hit cycles are dyadic,
-                # so the bulk add is bit-identical to per-op adds), and
-                # the cursor is unchanged: `period * stride` is a
-                # multiple of `n_lines`.
-                folds = (count - done) // period
-                if folds:
-                    n = folds * period
-                    l1.hits += n
-                    c.n_l1d += n
-                    c.l1d_hits += n
-                    c.n_load_inst += n
-                    c.cycles += n * hit_cycles
-                    if hit_stall:
-                        c.stall_cycles += n * hit_stall
-                    done += n
-        return cursor
+        return self._ring_fast(base, cursor % n_lines, stride % n_lines,
+                               count, n_lines, dependent)
 
-    def _ring_fast(self, base: int, cursor: int, stride: int, count: int,
-                   n_lines: int, period: int) -> int:
-        """:meth:`load_ring` for independent probes on a full hierarchy.
+    def _ring_fast(self, base: int, cursor: int, step: int, count: int,
+                   n_lines: int, dependent: bool) -> int:
+        """The ring walk of :meth:`load_ring` (``0 <= cursor, step <
+        n_lines``; the region is line-aligned and clear of the TCM).
 
         The ring's visit order is pure modular arithmetic over an
         immutable geometry: from any cursor the walk traverses the
         ``period`` positions of the cursor's residue class (mod
-        ``gcd(stride, n_lines)``) in a fixed cyclic order.  That cycle
-        is computed once per ``(ring, class)`` and memoised as a tuple
-        of *line numbers* (regions are line-aligned), so each call is a
-        dict hit plus C-level tuple slices — no per-probe cursor
-        arithmetic.  The per-line work happens in :meth:`_ring_lines`;
-        the all-hit rotation folding is identical to the generic path
-        (a zero-miss full rotation leaves cache state untouched, so
-        remaining rotations fold into one bulk hit update).
+        ``gcd(step, n_lines)``) in a fixed cyclic order.  That cycle is
+        computed once per ``(ring, class)`` and memoised as a tuple of
+        line numbers with their per-level cache sets, so each rotation
+        is a dict hit plus C-level tuple slices — no per-probe cursor
+        arithmetic.  Each rotation segment runs through the verified
+        walk (:meth:`_ring_steady`); whatever it refuses goes, in order,
+        to the exact generic :meth:`_load_addrs`.
+
+        **Geometric fold.**  The memo also records whether every L1D
+        set holds at most ``assoc`` lines of the cycle.  If so, any full
+        rotation — whatever its hit/miss mix — leaves every cycle line
+        resident as the MRU entries of its set, in rotation order: only
+        ring probes touch L1D during the rotation (dirty-victim
+        write-backs and prefetches fill L2/L3 only), each probe makes
+        its line MRU, and when the ``i``-th cycle line of a set is
+        inserted the ``i - 1 < assoc`` cycle lines already probed sit
+        above the LRU victim, so none of them is evicted.  The next
+        rotation then hits on every probe and re-appends each set's
+        cycle lines in the order they already hold, a no-op on cache
+        state (hits never reach the prefetcher).  So after the first
+        full rotation every remaining probe is an L1D hit: the full
+        rotations fold into one bulk hit update, and a trailing partial
+        rotation only moves its lines to their sets' MRU ends.  The
+        bulk hit cycles are dyadic issue widths (or the dependent L1
+        latency), so the bulk add is bit-identical to per-probe adds.
         """
         cpu = self.cpu
-        c = cpu.counters
-        l1 = cpu.hierarchy.l1d
+        hier = cpu.hierarchy
+        l1 = hier.l1d
+        stats = self.stats
         base_line = base >> LINE_SHIFT
-        key = (base, n_lines, stride, cursor % (n_lines // period))
+        key = (base, n_lines, step, cursor % gcd(step, n_lines))
         memo = self._ring_memo.get(key)
         if memo is None:
-            # One cycle entry per visit: the line number plus its three
-            # per-level cache sets.  The set OrderedDicts are created
-            # once per cache and only ever mutated in place (``flush``
-            # clears them, never replaces them), so the references stay
-            # valid for the life of the machine and the per-probe
-            # ``sets[line & mask]`` indexing happens once per ring, not
-            # once per access.
-            hier2 = cpu.hierarchy
-            s1, m1 = hier2.l1d._sets, hier2.l1d._set_mask
-            s2, m2 = hier2.l2._sets, hier2.l2._set_mask
-            s3, m3 = hier2.l3._sets, hier2.l3._set_mask
-            cycle = []
-            pos = cursor
-            for _ in range(period):
-                pos = (pos + stride) % n_lines
-                line = base_line + pos
-                cycle.append((line, s1[line & m1], s2[line & m2],
-                              s3[line & m3]))
-            inv = {entry[0] - base_line: j for j, entry in enumerate(cycle)}
-            memo = (tuple(cycle), inv)
-            self._ring_memo[key] = memo
-        cycle, inv = memo
+            memo = self._ring_memo[key] = self._ring_cycle(
+                base_line, cursor, step, n_lines)
+        cycle, inv, fits = memo
+        period = len(cycle)
         idx = inv[cursor]
-        issue = cpu.timing.load_issue
-        # The steady-state verified walk (see _ring_steady) assumes the
-        # prefetcher's moving slot can never match `line - 1` between
-        # consecutive probes, which holds whenever the line-space step
-        # is not exactly one.
-        ext_safe = stride % n_lines != 1
+        # The verified walk assumes the prefetcher's moving slot can
+        # never match ``line - 1`` between consecutive probes, which
+        # holds whenever the line-space step is not exactly one.
+        ext_safe = step != 1
+        walk = self._ring_steady
         done = 0
         while done < count:
             chunk = min(period, count - done)
@@ -698,178 +675,315 @@ class BatchExecutor:
                 seg = cycle[first:end]
             else:
                 seg = cycle[first:] + cycle[:end - period]
+            pos = 0
             if ext_safe:
-                misses = self._ring_steady(seg, inv, base_line, first,
-                                           period)
+                while pos < chunk:
+                    j = walk(seg, pos, inv, base_line, n_lines, first,
+                             period, dependent)
+                    if j < 0:
+                        break
+                    pos += j
+                    if pos < chunk:
+                        # The walk stopped at an L1D hit: run the hits
+                        # exactly, then resume the verified walk.
+                        k = pos + 1
+                        while k < chunk and seg[k][0] in seg[k][1]:
+                            k += 1
+                        stats.ring_generic += k - pos
+                        self._load_addrs(
+                            [e[0] << LINE_SHIFT for e in seg[pos:k]],
+                            dependent)
+                        pos = k
             else:
-                misses = 0
-            if misses < chunk:
-                misses += self._ring_lines(seg[misses:] if misses else seg)
+                stats.bail_ext_unsafe += 1
+            if pos < chunk:
+                stats.ring_generic += chunk - pos
+                self._load_addrs([e[0] << LINE_SHIFT for e in seg[pos:]],
+                                 dependent)
             done += chunk
-            idx = first + chunk - 1
+            idx = end - 1
             if idx >= period:
                 idx -= period
-            if misses == 0 and chunk == period:
-                # A full rotation of pure L1D hits: replaying it is a
-                # no-op on cache state, so the remaining full rotations
-                # fold into one bulk hit update (see load_ring).
-                folds = (count - done) // period
-                if folds:
-                    n = folds * period
-                    l1.hits += n
-                    c.n_l1d += n
-                    c.l1d_hits += n
-                    c.n_load_inst += n
-                    c.cycles += n * issue
-                    done += n
+            if fits and chunk == period and done < count:
+                rest = count - done
+                tail = rest % period
+                for e in seg[:tail]:
+                    e[1].move_to_end(e[0])
+                idx = (idx + tail) % period
+                stats.ring_folded += rest
+                c = cpu.counters
+                l1.hits += rest
+                c.n_l1d += rest
+                c.l1d_hits += rest
+                c.n_load_inst += rest
+                if dependent:
+                    lat_l1 = cpu._latency[LEVEL_L1D]
+                    c.cycles += rest * lat_l1
+                    c.stall_cycles += rest * (lat_l1 - 1.0)
+                else:
+                    c.cycles += rest * cpu.timing.load_issue
+                break
         return cycle[idx][0] - base_line
 
-    def _ring_steady(self, seg, inv, base_line: int, first: int,
-                     period: int) -> int:
-        """Verified steady-state prefix of one ring rotation segment.
+    def _ring_cycle(self, base_line: int, cursor: int, step: int,
+                    n_lines: int) -> tuple:
+        """The memo entry of :meth:`_ring_fast` for one residue class:
+        ``(cycle, inv, fits)``.
 
-        A large ring in its steady state misses L1D and L2 and hits L3
-        on *every* probe, and the prefetcher's response to every probe
-        is the same fixed-slot tracker restart.  Both facts are cheap
-        to verify up front without mutating anything:
+        ``cycle`` has one entry per visit — the line number plus its
+        three per-level cache sets (``None`` for an absent level).  The
+        set OrderedDicts are created once per cache and only ever
+        mutated in place (``flush`` clears them, never replaces them),
+        so the references stay valid for the life of the machine.
+        ``inv`` maps a ring position to its cycle index; ``fits`` is the
+        geometric-fold condition (no L1D set holds more than ``assoc``
+        cycle lines)."""
+        hier = self.cpu.hierarchy
+        l1, l2, l3 = hier.l1d, hier.l2, hier.l3
+        s1, m1 = l1._sets, l1._set_mask
+        cycle = []
+        per_set: dict = {}
+        pos = cursor
+        for _ in range(n_lines // gcd(step, n_lines)):
+            pos = (pos + step) % n_lines
+            line = base_line + pos
+            cycle.append((
+                line, s1[line & m1],
+                l2._sets[line & l2._set_mask] if l2 is not None else None,
+                l3._sets[line & l3._set_mask] if l3 is not None else None,
+            ))
+            per_set[line & m1] = per_set.get(line & m1, 0) + 1
+        inv = {entry[0] - base_line: j for j, entry in enumerate(cycle)}
+        return tuple(cycle), inv, max(per_set.values()) <= l1.assoc
 
-        * the prefetcher outcome is a restart for the whole segment iff
-          no tracker's last-line sits at (or one below) a segment line —
-          checked against the memoised cycle index in O(streams) — and
-          the moving slot (rewritten each probe with the previous ring
-          line) can never match because consecutive probes differ by
-          the line-space step, which the caller guarantees is neither 0
-          nor 1;
-        * the miss/miss/hit shape is checked per probe with plain
-          ``in`` probes *before* that probe mutates anything.
+    def _ring_price(self, dependent: bool, lat2: float, lat3: float,
+                    latm: float):
+        """Per-probe charges of the verified walk: ``(base, c2, c3, cm,
+        s2, s3, sm, worst)`` — the issue cycles every probe pays (0 for
+        dependent loads), the cycle and stall charges of an L2 hit, an
+        L3 hit and a memory miss, and the largest per-probe cycle
+        charge.  False when a charge is not a multiple of 2**-8 (the
+        bulk add could then round)."""
+        if dependent:
+            base_cyc = 0.0
+            x2, x3, xm = lat2, lat3, latm
+            y2, y3, ym = x2 - 1.0, x3 - 1.0, xm - 1.0
+        else:
+            timing = self.cpu.timing
+            base_cyc = issue = timing.load_issue
+            mlp = timing.mlp
+            # Same expressions the reference path evaluates per probe;
+            # a non-positive exposure adds nothing.
+            x2 = max(lat2 / mlp - issue, 0.0)
+            x3 = max(lat3 / mlp - issue, 0.0)
+            xm = max(latm / mlp - issue, 0.0)
+            y2, y3, ym = x2, x3, xm
+        if not all((x * 256.0).is_integer() for x in (base_cyc, x2, x3, xm)):
+            return False
+        return (base_cyc, x2, x3, xm, y2, y3, ym,
+                base_cyc + max(x2, x3, xm))
 
-        Each verified probe then runs a pared-down body: the three LRU
-        updates and the two demand fills, with every derivable counter
-        (`fills == misses`, `occupancy == fills - evictions`, hit
-        totals) accumulated once at the end and the prefetcher's net
-        effect — one slot write with the last line — applied after the
-        loop.  Dirty victims still write back through the hierarchy's
-        own ``_fill_l2``/``_fill_l3``, so the cascade logic stays in
-        one place.  The first probe that fails verification ends the
-        prefix; the caller hands the rest of the segment to the exact
-        generic walk with all prior probes fully applied, so the split
-        is invisible.  Returns the number of probes processed (each one
-        an L1D miss).
+    def _ring_steady(self, seg, pos: int, inv, base_line: int, n_lines: int,
+                     first: int, period: int, dependent: bool) -> int:
+        """Verified walk of one ring rotation segment from ``seg[pos]``.
+
+        Accepts every L1D-miss outcome — L2 hit, L3 hit, or a memory
+        miss that fills L3 — and stops at the first L1D hit.  Each
+        probe's outcome is checked with plain ``in`` probes before that
+        probe mutates anything, then the probe applies its own LRU
+        updates and demand fills in the reference order (L3, L2, L1D).
+        Dirty victims write back through the hierarchy's own
+        ``_fill_l2``/``_fill_l3``, so the cascade logic stays in one
+        place.
+
+        The prefetcher needs no per-probe work either.  A miss only
+        interacts with a tracker whose last line is the probe line or
+        the line below it; otherwise ``observe`` restarts one fixed
+        slot ``s`` (the first with ``run == 1`` or, when every slot is
+        trained, the round-robin victim).  From the second probe on,
+        ``s`` holds the previous ring line, which never matches because
+        consecutive probes differ by the line-space step (the caller
+        guarantees it is not 1; a step-0 segment is a single probe).
+        So an O(streams) scan of the trackers against the memoised
+        cycle index finds the first segment position that could match;
+        the walk **clips** there.  Up to the clip every probe is a
+        restart of ``s``, whose net effect is one slot write with the
+        last line.  The clipped probe itself runs its demand fills
+        inline and then the hierarchy's own prefetcher step, and the
+        walk rescans and resumes behind it.
+
+        The per-outcome counts (L2 hits, L3 hits, memory misses) give
+        every other counter once at the end: ``fills == misses`` per
+        level, and evictions are the fills that found the set full.
+        Returns the number of probes processed (the caller hands an L1D
+        hit to the exact generic walk and calls again behind it), or -1
+        when the walk cannot run at all: no L2/L3, a non-default or
+        idle-slot prefetcher, or a clock the bulk add cannot reproduce.
         """
         cpu = self.cpu
         hier = cpu.hierarchy
+        stats = self.stats
+        l2 = hier.l2
+        l3 = hier.l3
         pf = hier.prefetcher
-        if (not pf.enabled or pf.n_streams <= 0
-                or pf.train_threshold != 2):
-            return 0
-        run = pf._run
-        if 0 in run:
-            return 0
+        pf_on = pf.enabled and pf.n_streams > 0
+        if l2 is None or l3 is None or (pf_on and pf.train_threshold != 2):
+            stats.bail_config += 1
+            return -1
+        if pf_on and 0 in pf._run:
+            stats.bail_untrained += 1
+            return -1
         chunk = len(seg)
-        last = pf._last
-        inv_get = inv.get
-        for v in last:
-            iv = inv_get(v - base_line)
-            if iv is not None and (iv - first) % period < chunk:
-                return 0
-            iv = inv_get(v + 1 - base_line)
-            if iv is not None and (iv - first) % period < chunk:
-                return 0
-        # The scan above proves no tracker can match any segment line,
-        # so every probe's prefetcher outcome is a restart of one fixed
-        # slot: the first slot with ``run == 1`` or, when every slot is
-        # already trained, the round-robin victim ``observe`` would
-        # evict (that branch writes no counters, so its net effect is
-        # the same slot write).  Nothing inside the loop reads tracker
-        # state, so the whole sequence nets to one flush-time write.
-        try:
-            s = run.index(1)
-            restart_victim = False
-        except ValueError:
-            restart_victim = True
-            s = -1
-        timing = cpu.timing
-        issue = timing.load_issue
-        exp3 = cpu._latency[LEVEL_L3] / timing.mlp - issue
-        if exp3 <= 0.0:
-            return 0
+        lat = cpu._latency
+        key = (dependent, lat[LEVEL_L2], lat[LEVEL_L3], lat[LEVEL_MEM])
+        price = self._ring_prices.get(key)
+        if price is None:
+            price = self._ring_prices[key] = self._ring_price(*key)
         c = cpu.counters
         cyc = c.cycles
         stall = c.stall_cycles
-        if not ((issue * 256.0).is_integer() and (exp3 * 256.0).is_integer()
-                and (cyc * 256.0).is_integer() and (stall * 256.0).is_integer()
-                and cyc < 2.0 ** 43):
+        if not (price and (cyc * 256.0).is_integer()
+                and (stall * 256.0).is_integer()
+                and cyc + (chunk - pos) * price[7] < 2.0 ** 44):
             # Bulk cycle accounting below reassociates the per-probe
             # adds; that is bit-exact only while every operand (and so
             # every intermediate sum) is a multiple of 2**-8 small
             # enough that no sum ever rounds: multiples of 2**-8 below
             # 2**44 need at most 52 significand bits.
-            return 0
+            stats.bail_non_dyadic += 1
+            return -1
+        base_cyc, x2, x3, xm, y2, y3, ym, _ = price
         l1 = hier.l1d
-        l2 = hier.l2
-        l3 = hier.l3
         a1 = l1.assoc
         a2 = l2.assoc
+        a3 = l3.assoc
         fill_l2 = hier._fill_l2
         fill_l3 = hier._fill_l3
-        u1 = dev1 = u2 = dev2 = 0
-        j = 0
-        for line, set1, set2, set3 in seg:
-            if line in set1 or line in set2 or line not in set3:
+        run = pf._run
+        last = pf._last
+        inv_get = inv.get
+        j2 = j3 = jm = 0
+        u1 = u2 = u3 = dev1 = dev2 = dev3 = 0
+        while True:
+            lim = chunk
+            if pf_on:
+                victim = 1 not in run
+                s = pf._victim if victim else run.index(1)
+                # ``r`` is a tracker's distance, in probes, from
+                # ``seg[pos]`` to the nearest cycle line it could match.
+                # Positions before ``pos`` (already probed; segment
+                # lines are distinct) wrap to ``period - pos`` or more,
+                # beyond the segment.  The old line of the restart slot
+                # ``s`` can only match the next probe, so a later
+                # position conflicts only through another slot.
+                here = first + pos
+                for v in last:
+                    off = v - base_line
+                    if -1 <= off < n_lines:
+                        iv = inv_get(off)
+                        r = period if iv is None else (iv - here) % period
+                        iv = inv_get(off + 1)
+                        if iv is not None:
+                            r1 = (iv - here) % period
+                            if r1 < r:
+                                r = r1
+                        if r < lim - pos and (r == 0 or v != last[s]
+                                              or last.count(v) > 1):
+                            lim = pos + r
+            stop = lim + 1 if lim < chunk else chunk
+            n0 = j2 + j3 + jm
+            for line, set1, set2, set3 in seg[pos:stop]:
+                if line in set1:
+                    break
+                if line in set2:
+                    set2.move_to_end(line)
+                    j2 += 1
+                else:
+                    if line in set3:
+                        set3.move_to_end(line)
+                        j3 += 1
+                    else:
+                        # Memory miss: fill L3 (a dirty victim drains to
+                        # DRAM, counted, not cached).
+                        if len(set3) >= a3:
+                            if set3.popitem(last=False)[1]:
+                                dev3 += 1
+                        else:
+                            u3 += 1
+                        set3[line] = False
+                        jm += 1
+                    if len(set2) >= a2:
+                        v, vd = set2.popitem(last=False)
+                        if vd:
+                            dev2 += 1
+                            fill_l3(v, True)
+                    else:
+                        u2 += 1
+                    set2[line] = False
+                if len(set1) >= a1:
+                    v, vd = set1.popitem(last=False)
+                    if vd:
+                        dev1 += 1
+                        fill_l2(v, True)
+                else:
+                    u1 += 1
+                set1[line] = False
+            end = pos + j2 + j3 + jm - n0
+            restarts = (end if end < lim else lim) - pos
+            if pf_on and restarts:
+                # Net effect of the restarts before the clip (the victim
+                # branch writes no counters).
+                if victim:
+                    pf._victim = (s + 1) % pf.n_streams
+                    run[s] = 1
+                last[s] = seg[pos + restarts - 1][0]
+                pf._l2up[s] = -1
+                pf._l3up[s] = -1
+            pos = end
+            if pos < stop:
+                stats.bail_l1d_hit += 1
                 break
-            set3.move_to_end(line)
-            if len(set2) >= a2:
-                v, vd = set2.popitem(last=False)
-                if vd:
-                    dev2 += 1
-                    fill_l3(v, True)
-            else:
-                u2 += 1
-            set2[line] = False
-            if len(set1) >= a1:
-                v, vd = set1.popitem(last=False)
-                if vd:
-                    dev1 += 1
-                    fill_l2(v, True)
-            else:
-                u1 += 1
-            set1[line] = False
-            j += 1
+            if lim == chunk:
+                break
+            # The clipped probe's prefetcher step, after its fills.
+            stats.bail_clip += 1
+            hier._run_prefetcher(seg[lim][0])
+            if pos == chunk:
+                break
+        m2 = j3 + jm
+        j = j2 + m2
         if j == 0:
             return 0
-        # In steady state both caches are full, so underfull inserts
-        # (u1/u2) are the rare case; evictions are derived at flush.
-        ev1 = j - u1
-        ev2 = j - u2
-        c.cycles = cyc + j * issue + j * exp3
-        c.stall_cycles = stall + j * exp3
+        stats.ring_verified += j
+        c.cycles = cyc + j * base_cyc + j2 * x2 + j3 * x3 + jm * xm
+        c.stall_cycles = stall + j2 * y2 + j3 * y3 + jm * ym
         c.n_load_inst += j
         c.n_l1d += j
         c.n_l2 += j
-        c.n_l3 += j
-        c.l3_hits += j
-        c.n_writeback += dev1 + dev2
+        c.l2_hits += j2
+        c.n_l3 += m2
+        c.l3_hits += j3
+        c.n_mem += jm
+        c.n_writeback += dev1 + dev2 + dev3
+        # Plain attribute adds, not bulk_account: this runs once per
+        # short ring segment, where three keyword calls are measurable.
         l1.misses += j
         l1.fills += j
-        l1.evictions += ev1
+        l1.evictions += j - u1
         l1.dirty_evictions += dev1
-        l1._occupancy += j - ev1
-        l2.misses += j
-        l2.fills += j
-        l2.evictions += ev2
+        l1._occupancy += u1
+        l2.hits += j2
+        l2.misses += m2
+        l2.fills += m2
+        l2.evictions += m2 - u2
         l2.dirty_evictions += dev2
-        l2._occupancy += j - ev2
-        l3.hits += j
-        # Every probe restarted the same tracker; the net prefetcher
-        # state is one write of the last line processed (plus the
-        # round-robin victim bump when no slot was still untrained).
-        if restart_victim:
-            s = pf._victim
-            pf._victim = (s + 1) % pf.n_streams
-            run[s] = 1
-        last[s] = seg[j - 1][0]
-        pf._l2up[s] = -1
-        pf._l3up[s] = -1
+        l2._occupancy += u2
+        l3.hits += j3
+        l3.misses += jm
+        l3.fills += jm
+        l3.evictions += jm - u3
+        l3.dirty_evictions += dev3
+        l3._occupancy += u3
         return j
 
     def store_repeat(self, addr: int, n: int) -> None:
@@ -1302,218 +1416,6 @@ class BatchExecutor:
         pf.n_pf_l2_issued += k
         pf.n_pf_l3_issued += k
         return k
-
-    def _ring_lines(self, lines) -> int:
-        """Demand loads for one ring rotation segment, by line number.
-
-        Semantically an exact copy of :meth:`_load_addrs` specialised
-        for its :meth:`_ring_fast` caller: the ring never overlaps the
-        TCM window (``load_ring`` already routed that case to
-        :meth:`load_list`), probes are independent loads, L2 and L3
-        both exist, and the region is line-aligned so the walk receives
-        line numbers directly.  Counters that are per-access invariants
-        (``n_load_inst``, ``n_l1d``) or derivable from the hit/miss
-        split (``fills == misses`` per level, minus prefetch fills
-        accounted separately) are computed once per call.  The
-        prefetcher's no-match tracker restart is inlined — a coprime
-        ring stride never extends a sequential stream, so the common
-        :meth:`~repro.sim.prefetcher.StreamPrefetcher.observe` outcome
-        is exactly that restart; any access that *could* match a
-        tracker (or a non-default train threshold with no idle slot) is
-        handed to the real ``observe`` unchanged.  Returns the number
-        of L1D misses (zero means a pure-hit rotation, which
-        :meth:`_ring_fast` may fold).
-        """
-        cpu = self.cpu
-        c = cpu.counters
-        hier = cpu.hierarchy
-        l1 = hier.l1d
-        l2 = hier.l2
-        l3 = hier.l3
-        a1 = l1.assoc
-        s2 = l2._sets
-        m2 = l2._set_mask
-        a2 = l2.assoc
-        fill_l2 = hier._fill_l2
-        s3 = l3._sets
-        m3 = l3._set_mask
-        a3 = l3.assoc
-        fill_l3 = hier._fill_l3
-        pf = hier.prefetcher
-        observe = pf.observe
-        pf_on = pf.enabled and pf.n_streams > 0
-        pf_last = pf._last
-        pf_run = pf._run
-        pf_l2up = pf._l2up
-        pf_l3up = pf._l3up
-        pf_thr2 = pf.train_threshold == 2
-        timing = cpu.timing
-        issue = timing.load_issue
-        mlp = timing.mlp
-        lat = cpu._latency
-        exp_l2 = lat[LEVEL_L2] / mlp - issue
-        exp_l3 = lat[LEVEL_L3] / mlp - issue
-        exp_mem = lat[LEVEL_MEM] / mlp - issue
-
-        n = len(lines)
-        h1 = 0
-        h2 = mis2 = f2 = ev2 = dev2 = occ2 = 0
-        h3 = mis3 = f3 = ev3 = dev3 = occ3 = 0
-        ev1 = dev1 = occ1 = 0
-        n_wb = 0
-        n_pf_l2 = 0
-        n_pf_l3 = 0
-        cyc = c.cycles
-        stall = c.stall_cycles
-
-        for line, set1, set2, set3 in lines:
-            if line in set1:
-                set1.move_to_end(line)
-                h1 += 1
-                cyc += issue
-                continue
-            # ---------------- L1D miss: walk down, fill on the way back
-            if line in set2:
-                set2.move_to_end(line)
-                h2 += 1
-                exp = exp_l2
-            else:
-                mis2 += 1
-                if line in set3:
-                    set3.move_to_end(line)
-                    h3 += 1
-                    exp = exp_l3
-                else:
-                    mis3 += 1
-                    exp = exp_mem
-                    # fill L3 (line known absent)
-                    f3 += 1
-                    if len(set3) >= a3:
-                        v, vd = set3.popitem(last=False)
-                        ev3 += 1
-                        if vd:
-                            dev3 += 1
-                            n_wb += 1
-                    else:
-                        occ3 += 1
-                    set3[line] = False
-                # fill L2 (line known absent)
-                f2 += 1
-                if len(set2) >= a2:
-                    v, vd = set2.popitem(last=False)
-                    ev2 += 1
-                    if vd:
-                        dev2 += 1
-                        n_wb += 1
-                        fill_l3(v, True)
-                else:
-                    occ2 += 1
-                set2[line] = False
-            # fill L1 (line known absent)
-            if len(set1) >= a1:
-                v, vd = set1.popitem(last=False)
-                ev1 += 1
-                if vd:
-                    dev1 += 1
-                    n_wb += 1
-                    fill_l2(v, True)
-            else:
-                occ1 += 1
-            set1[line] = False
-            # prefetcher (demand loads only, after the fills -- same
-            # order as MemoryHierarchy.load)
-            if pf_on:
-                if line - 1 in pf_last or line in pf_last:
-                    pf2, pf3 = observe(line)
-                    if pf2:
-                        for pline in pf2:
-                            if pline not in s2[pline & m2]:
-                                if pline in s3[pline & m3]:
-                                    n_pf_l2 += 1
-                                    pset = s2[pline & m2]
-                                    f2 += 1
-                                    if len(pset) >= a2:
-                                        v, vd = pset.popitem(last=False)
-                                        ev2 += 1
-                                        if vd:
-                                            dev2 += 1
-                                            n_wb += 1
-                                            fill_l3(v, True)
-                                    else:
-                                        occ2 += 1
-                                    pset[pline] = False
-                                else:
-                                    n_pf_l3 += 1
-                                    pset = s3[pline & m3]
-                                    f3 += 1
-                                    if len(pset) >= a3:
-                                        v, vd = pset.popitem(last=False)
-                                        ev3 += 1
-                                        if vd:
-                                            dev3 += 1
-                                            n_wb += 1
-                                    else:
-                                        occ3 += 1
-                                    pset[pline] = False
-                    if pf3:
-                        for pline in pf3:
-                            if pline not in s3[pline & m3]:
-                                n_pf_l3 += 1
-                                pset = s3[pline & m3]
-                                f3 += 1
-                                if len(pset) >= a3:
-                                    v, vd = pset.popitem(last=False)
-                                    ev3 += 1
-                                    if vd:
-                                        dev3 += 1
-                                        n_wb += 1
-                                else:
-                                    occ3 += 1
-                                pset[pline] = False
-                elif 0 in pf_run:
-                    slot = pf_run.index(0)
-                    pf_last[slot] = line
-                    pf_run[slot] = 1
-                    pf_l2up[slot] = -1
-                    pf_l3up[slot] = -1
-                elif pf_thr2 and 1 in pf_run:
-                    slot = pf_run.index(1)
-                    pf_last[slot] = line
-                    pf_run[slot] = 1
-                    pf_l2up[slot] = -1
-                    pf_l3up[slot] = -1
-                else:
-                    observe(line)
-            cyc += issue
-            if exp > 0.0:
-                cyc += exp
-                stall += exp
-
-        c.cycles = cyc
-        c.stall_cycles = stall
-        c.n_load_inst += n
-        c.n_l1d += n
-        c.l1d_hits += h1
-        l1.hits += h1
-        mis1 = n - h1
-        if mis1:
-            c.n_l2 += mis1
-            c.l2_hits += h2
-            c.n_l3 += mis2
-            c.l3_hits += h3
-            c.n_mem += mis3
-            c.n_writeback += n_wb
-            c.n_pf_l2 += n_pf_l2
-            c.n_pf_l3 += n_pf_l3
-            l1.bulk_account(misses=mis1, fills=mis1, evictions=ev1,
-                            dirty_evictions=dev1, occupancy=occ1)
-            l2.bulk_account(hits=h2, misses=mis2, fills=f2,
-                            evictions=ev2, dirty_evictions=dev2,
-                            occupancy=occ2)
-            l3.bulk_account(hits=h3, misses=mis3, fills=f3,
-                            evictions=ev3, dirty_evictions=dev3,
-                            occupancy=occ3)
-        return mis1
 
     def _load_addrs(self, addrs: Iterable[int], dependent: bool = False,
                     first_only: bool = False) -> int:

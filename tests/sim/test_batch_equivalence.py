@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import tiny_arm, tiny_intel
 from repro.sim.address_space import Region
@@ -389,3 +391,253 @@ def test_exec_mode_knob():
     assert machine.exec.mode == "batched"
     with pytest.raises(Exception):
         machine.set_exec_mode("warp")
+
+
+# ---------------------------------------------------------------- ring walk
+#
+# Targeted cases for the batched ring walk (BatchExecutor._ring_fast and
+# its verified walk _ring_steady): each scenario runs in both modes, must
+# leave identical counters, per-set LRU order and prefetcher state, and
+# must provably take the route it is named after (the batched
+# executor's ExecStats say which route each probe took).
+
+
+def _ring_modes(body):
+    """Run ``body(machine)`` in both modes; assert identical state and
+    return the batched executor's ring statistics."""
+    ref = _run_scenario("reference", body)
+    bat = _run_scenario("batched", body)
+    assert _state(ref) == _state(bat)
+    return bat.exec.stats
+
+
+def _train_trackers(machine):
+    """Occupy every prefetcher slot with a one-line (untrained) stream:
+    scattered misses far away from any ring, so the verified walk is
+    not refused for idle tracker slots."""
+    far = machine.address_space.alloc_lines(64, "far")
+    for i in range(machine.hierarchy.prefetcher.n_streams):
+        machine.load(far.base + 7 * i * 64)
+
+
+def test_ring_l2_resident_context_switch_shape():
+    """A ring that fits L2 but not L1D, walked 32 probes at a time (the
+    CoreSet.context_switch cold walk): every probe misses L1D and hits
+    L2, and the verified walk takes them."""
+    seen = {}
+
+    def body(machine):
+        _train_trackers(machine)
+        ring = machine.address_space.alloc_lines(128, "cold")
+        cursor = machine.exec.load_ring(ring.base, 0, 7, 128, 128)
+        c = machine.cpu.counters
+        l2_hits = c.l2_hits
+        for _ in range(12):
+            cursor = machine.exec.load_ring(ring.base, cursor, 7, 32, 128)
+        seen[machine.exec.mode] = c.l2_hits - l2_hits
+
+    stats = _ring_modes(body)
+    assert seen["reference"] == 12 * 32
+    assert (stats.ring_verified, stats.ring_generic,
+            stats.ring_folded) == (128 + 12 * 32, 0, 0)
+
+
+def test_ring_first_rotation_mixes_l3_hits_and_memory_misses():
+    seen = {}
+
+    def body(machine):
+        _train_trackers(machine)
+        ring = machine.address_space.alloc_lines(24, "ring")
+        for i in range(0, 24, 2):
+            machine.load(ring.base + i * 64)          # L3-resident half
+        flush = machine.address_space.alloc_lines(
+            machine.hierarchy.l2.size // 64 * 2, "l2-thrash")
+        machine.scan_lines(flush.base, flush.n_lines)  # push it out of L2
+        c = machine.cpu.counters
+        before = (c.l3_hits, c.n_mem)
+        machine.exec.load_ring(ring.base, 0, 5, 24, 24)
+        seen[machine.exec.mode] = (c.l3_hits - before[0],
+                                   c.n_mem - before[1])
+
+    stats = _ring_modes(body)
+    assert seen["reference"] == (12, 12)
+    assert stats.ring_verified == 24
+
+
+def test_ring_fits_l1d_folds_right_after_a_miss_rotation():
+    """An L1D-fitting ring folds after its first rotation even though
+    that rotation missed on every probe; a trailing partial rotation
+    is folded too."""
+    def body(machine):
+        _train_trackers(machine)
+        ring = machine.address_space.alloc_lines(24, "ring")
+        cursor = machine.exec.load_ring(ring.base, 0, 7, 5 * 24 + 8, 24)
+        if machine.exec.mode == "batched":
+            stats = machine.exec.stats
+            assert (stats.ring_verified, stats.ring_generic,
+                    stats.ring_folded) == (24, 0, 4 * 24 + 8)
+        # Resident from the start: one generic run of L1D hits, then
+        # the fold.
+        machine.exec.load_ring(ring.base, cursor, 7, 100, 24)
+
+    stats = _ring_modes(body)
+    assert (stats.ring_verified, stats.ring_generic,
+            stats.ring_folded) == (24, 24, 4 * 24 + 8 + 76)
+    assert stats.bail_l1d_hit == 1
+
+
+def test_ring_overfilling_an_l1d_set_must_not_fold():
+    """33 lines over 4 L1D sets of 8 ways: one set holds 9 ring lines,
+    so that set keeps missing while the others hit — no fold, and the
+    walk resumes behind every L1D hit it refuses."""
+    def body(machine):
+        assert machine.hierarchy.l1d.n_sets * machine.hierarchy.l1d.assoc < 33
+        _train_trackers(machine)
+        ring = machine.address_space.alloc_lines(33, "ring")
+        machine.exec.load_ring(ring.base, 0, 5, 4 * 33, 33)
+
+    stats = _ring_modes(body)
+    assert stats.ring_folded == 0
+    assert stats.bail_l1d_hit > 0
+    assert stats.ring_verified > 33
+
+
+def test_ring_clips_at_a_tracker_mid_segment():
+    """A trained stream ending just below the ring: the probe of the
+    ring's first line extends it (and prefetches), so the verified walk
+    clips there, runs that probe's prefetcher step exactly, and
+    resumes behind it."""
+    issued = {}
+
+    def body(machine):
+        _train_trackers(machine)
+        ring = machine.address_space.alloc_lines(24, "ring")
+        machine.load(ring.base - 2 * 64)
+        machine.load(ring.base - 64)                   # trains the stream
+        pf = machine.hierarchy.prefetcher
+        before = pf.n_pf_l2_issued
+        # From cursor 12 with stride 7, position 0 is the 12th probe.
+        machine.exec.load_ring(ring.base, 12, 7, 24, 24)
+        issued[machine.exec.mode] = pf.n_pf_l2_issued - before
+
+    stats = _ring_modes(body)
+    assert issued["reference"] > 0
+    assert stats.bail_clip >= 1
+    assert (stats.ring_verified, stats.ring_generic) == (24, 0)
+
+
+def test_ring_clip_sees_a_duplicated_tracker_line():
+    """Two tracker slots can hold the same line (one extended into the
+    line the other restarted on).  The walk overwrites the restart
+    slot's copy from its second probe on, but the other copy still
+    matches the next ring line, so the walk must clip there."""
+    def body(machine):
+        _train_trackers(machine)
+        ring = machine.address_space.alloc_lines(24, "ring")
+        pf = machine.hierarchy.prefetcher
+        s = pf._run.index(1)
+        other = (s + 1) % pf.n_streams
+        line = (ring.base >> 6) + 3
+        pf._last[s] = pf._last[other] = line
+        # From cursor 0 with stride 5 the ring reaches position 4 (the
+        # line after the duplicated one) on the 20th probe.
+        machine.exec.load_ring(ring.base, 0, 5, 24, 24)
+
+    stats = _ring_modes(body)
+    assert stats.bail_clip >= 1
+    assert stats.ring_verified == 24
+
+
+def test_ring_non_dyadic_cycles_fall_back():
+    def body(machine):
+        _train_trackers(machine)
+        ring = machine.address_space.alloc_lines(40, "ring")
+        machine.cpu.counters.cycles += 1.0 / 3.0
+        machine.exec.load_ring(ring.base, 0, 7, 40, 40)
+
+    stats = _ring_modes(body)
+    assert stats.bail_non_dyadic >= 1
+    assert stats.ring_generic == 40
+    assert stats.ring_verified == 0
+
+
+def test_ring_dirty_victims_at_every_level():
+    """Dirty lines fill L1D, L2 and L3 before a ring that misses to
+    memory: the verified walk's fills evict dirty victims at all three
+    levels, which must cascade exactly as in the reference."""
+    before = {}
+
+    def body(machine):
+        hier = machine.hierarchy
+        dirty = machine.address_space.alloc_lines(
+            2 * hier.l3.size // 64, "dirty")
+        for i in range(dirty.n_lines):
+            machine.store(dirty.base + i * 64)
+        _train_trackers(machine)
+        ring = machine.address_space.alloc_lines(600, "ring")
+        before[machine.exec.mode] = [
+            lvl.dirty_evictions for lvl in (hier.l1d, hier.l2, hier.l3)]
+        machine.exec.load_ring(ring.base, 0, 7, 600, 600)
+        for i, lvl in enumerate((hier.l1d, hier.l2, hier.l3)):
+            assert lvl.dirty_evictions > before[machine.exec.mode][i]
+
+    stats = _ring_modes(body)
+    assert stats.ring_verified == 600
+
+
+_RING_OPS = st.one_of(
+    st.tuples(st.just("scan"), st.integers(0, 700), st.integers(1, 300)),
+    st.tuples(st.just("store"), st.integers(0, 1000)),
+    st.tuples(st.just("load"), st.integers(0, 1000), st.booleans()),
+    st.tuples(st.just("seq"), st.integers(0, 1000), st.integers(2, 6)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_lines=st.integers(1, 300),
+    stride=st.integers(0, 600),
+    cursor=st.integers(0, 299),
+    warmup=st.lists(_RING_OPS, max_size=12),
+    calls=st.lists(
+        st.tuples(st.integers(1, 700), st.booleans(),
+                  st.lists(_RING_OPS, max_size=3)),
+        min_size=1, max_size=4),
+)
+def test_load_ring_lockstep_property(n_lines, stride, cursor, warmup, calls):
+    """Random ring geometry after a random warm-up of scans, stores
+    (dirty lines), loads and short sequential runs (trained trackers):
+    both executors, driven in lockstep, agree on the full machine state
+    and on the returned cursor after every load_ring call."""
+    machines = [Machine(tiny_intel(), exec_mode=mode)
+                for mode in ("reference", "batched")]
+    regions = [m.address_space.alloc_lines(1024, "space")
+               for m in machines]
+    ring_at = 300  # the ring sits inside the region, ops reach around it
+
+    def apply(m, region, op):
+        kind = op[0]
+        if kind == "scan":
+            m.scan_lines(region.base + op[1] * 64, op[2])
+        elif kind == "store":
+            m.store(region.base + op[1] * 64)
+        elif kind == "load":
+            m.load(region.base + op[1] * 64, op[2])
+        else:
+            for i in range(op[2]):
+                m.load(region.base + (op[1] + i) * 64)
+
+    for op in warmup:
+        for m, region in zip(machines, regions):
+            apply(m, region, op)
+    cursors = [cursor % n_lines] * 2
+    for count, dependent, between in calls:
+        for k, (m, region) in enumerate(zip(machines, regions)):
+            cursors[k] = m.exec.load_ring(
+                region.base + ring_at * 64, cursors[k], stride, count,
+                n_lines, dependent)
+        assert cursors[0] == cursors[1]
+        assert _state(machines[0]) == _state(machines[1])
+        for op in between:
+            for m, region in zip(machines, regions):
+                apply(m, region, op)
