@@ -178,6 +178,20 @@ def _tpch_seconds(tier: str, queries: tuple) -> dict:
     return out
 
 
+def run_rows_by_next(self, n: int) -> int:
+    """Per-row oracle for the batched-quantum protocol: ``n`` single
+    ``next(self)`` pulls, counted.  Patched over a work iterator's own
+    ``run_rows``, it must charge exactly the same micro-ops."""
+    done = 0
+    for _ in range(n):
+        try:
+            next(self)
+        except StopIteration:
+            break
+        done += 1
+    return done
+
+
 def _serve_rps(queries: int) -> dict:
     from repro.db.engine import SessionRows
     from repro.serve import ServeConfig, run_serve
@@ -211,12 +225,11 @@ def _serve_rps(queries: int) -> dict:
     # report (per-tenant joules, latencies, counters) must match across
     # engines byte for byte once the exec_mode config field is dropped.
     out["reports_identical"] = canonical["reference"] == canonical["batched"]
-    # ...and across quantum protocols: hiding SessionRows.run_rows
-    # forces the serve loop onto the legacy per-row __next__ quantum,
-    # which must charge the exact same micro-ops.
+    # ...and across quantum protocols: the per-row oracle patched over
+    # SessionRows.run_rows must charge the exact same micro-ops.
     saved = SessionRows.run_rows
     try:
-        del SessionRows.run_rows
+        SessionRows.run_rows = run_rows_by_next
         report, _ = run("batched")
     finally:
         SessionRows.run_rows = saved

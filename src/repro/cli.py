@@ -549,70 +549,44 @@ _CHAOS_FLAG_FIELDS = (
 
 
 def cmd_chaos(args) -> int:
+    import time
+
     from repro.faults import FaultPlan
-    from repro.serve import run_serve
 
     plan_kwargs = dict(CHAOS_SCENARIOS[args.scenario])
     for dest, field in _CHAOS_FLAG_FIELDS:
         value = getattr(args, dest)
         if value is not None:
             plan_kwargs[field] = value
+    start = time.perf_counter()
     if args.cluster or args.scenario in _CLUSTER_SCENARIOS:
-        import time
-
         from repro.cluster import render_cluster_summary, run_cluster
 
-        config = _cluster_config(args, faults=FaultPlan(**plan_kwargs))
-        start = time.perf_counter()
-        report = run_cluster(config)
-        elapsed_s = time.perf_counter() - start
-        if args.json or args.out:
-            _emit_report(report, args.out)
-        if not args.json:
-            print(render_cluster_summary(report, elapsed_s=elapsed_s))
-        return 0
-    config = _serve_config(
-        args,
-        faults=FaultPlan(**plan_kwargs),
-        retries=args.retries,
-        retry_backoff_s=args.retry_backoff,
-        retry_jitter=args.retry_jitter,
-        retry_budget=args.retry_budget,
-        deadline_s=args.deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_window=args.breaker_window,
-        breaker_cooloff_s=args.breaker_cooloff,
-        degrade_keep_tenants=args.keep_tenants,
-    )
-    report = run_serve(config)
+        report = run_cluster(
+            _cluster_config(args, faults=FaultPlan(**plan_kwargs)))
+        render = render_cluster_summary
+    else:
+        from repro.serve import render_serve_summary, run_serve
+
+        report = run_serve(_serve_config(
+            args,
+            faults=FaultPlan(**plan_kwargs),
+            retries=args.retries,
+            retry_backoff_s=args.retry_backoff,
+            retry_jitter=args.retry_jitter,
+            retry_budget=args.retry_budget,
+            deadline_s=args.deadline,
+            breaker_threshold=args.breaker_threshold,
+            breaker_window=args.breaker_window,
+            breaker_cooloff_s=args.breaker_cooloff,
+            degrade_keep_tenants=args.keep_tenants,
+        ))
+        render = render_serve_summary
+    elapsed_s = time.perf_counter() - start
     if args.json or args.out:
         _emit_report(report, args.out)
     if not args.json:
-        counts = report["counts"]
-        resilience = report["resilience"]
-        energy = report["energy"]
-        print(f"chaos run: scenario={args.scenario} seed={args.seed}")
-        print(f"  requests: {counts['issued']} issued, "
-              f"{counts['completed']} completed, {counts['failed']} failed, "
-              f"{counts['deadline_exceeded']} past deadline, "
-              f"{counts['shed_degraded']} shed degraded")
-        injected = resilience["faults_injected"]
-        fault_text = (", ".join(f"{site}={n}"
-                                for site, n in injected.items())
-                      or "none")
-        print(f"  faults injected: {fault_text}")
-        print(f"  retries spent: {resilience['retries_spent']}, "
-              f"breaker trips: {resilience['breaker_trips']}, "
-              f"core stalls: {resilience['core_stalls']}, "
-              f"disk read retries: {resilience['disk_read_retries']}")
-        active = energy["active_energy_j"]
-        wasted = energy["wasted_energy_j"]
-        share = 100.0 * wasted / active if active > 0 else 0.0
-        print(f"  energy: {energy['useful_energy_j']:.4e} J useful + "
-              f"{wasted:.4e} J wasted = {active:.4e} J active "
-              f"({share:.1f}% wasted)")
-        for reason, joules in energy["wasted_by_reason_j"].items():
-            print(f"    wasted[{reason}]: {joules:.4e} J")
+        print(render(report, elapsed_s=elapsed_s))
     return 0
 
 

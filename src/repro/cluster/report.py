@@ -26,10 +26,14 @@ from repro.cluster.coordinator import (
     ClusterCoordinator,
     ClusterRequest,
 )
-from repro.serve.report import WASTE_KEYS, latency_summary, percentile
+from repro.serve.report import (
+    latency_summary,
+    request_energy,
+    state_counts,
+    summary_lines,
+    waste_ledger,
+)
 from repro.serve.request import COMPLETED, FAILED, SHED_DEGRADED
-
-PERCENTILES = (50, 95, 99)
 
 #: Version stamp on every cluster report.
 CLUSTER_SCHEMA_VERSION = 1
@@ -38,87 +42,24 @@ CLUSTER_SCHEMA_VERSION = 1
 #: their winning attempts is useful).
 DELIVERED_STATES = (COMPLETED, DEGRADED_PARTIAL)
 
-
-def _meta_order(key: tuple) -> tuple:
-    return tuple((v is None, str(v)) for v in key)
+#: Terminal request states a cluster report counts, in report order.
+CLUSTER_STATES = (COMPLETED, DEGRADED_PARTIAL, FAILED, SHED_DEGRADED)
 
 
 def cluster_energy_split(traces: dict, requests: Sequence[ClusterRequest],
                          attempt_outcomes: dict) -> dict:
-    """Split every machine's Active energy into useful vs wasted joules.
+    """The cluster run's :func:`~repro.serve.report.waste_ledger`.
 
-    ``traces`` maps machine name -> :class:`~repro.obs.span.Trace`.
-    Classification, per span-meta group ``(request, attempt, wasted)``:
-
-    * request not delivered (failed / shed): every joule it touched is
-      wasted under its terminal state;
-    * request delivered but the attempt lost (hedge loser, failover
-      duplicate, crashed node's partial work, message lost on the
-      wire, timed-out straggler): wasted under the coordinator's
-      recorded reason for that attempt;
-    * spans tagged ``wasted`` (e.g. straggler stalls): wasted under the
-      tag;
-    * everything else — winning attempts, merges, untagged system work
-      (idle, background, data load) — is useful.
+    A delivered request's losing attempt (hedge loser, failover
+    duplicate, crashed node's partial work, message lost on the wire,
+    timed-out straggler) is wasted under the coordinator's recorded
+    reason for it, ``attempt_outcomes[attempt]``.
     """
-    state_of = {r.request_id: r.state for r in requests}
-    useful_j = 0.0
-    wasted_j = 0.0
-    by_reason: dict = {}
-    per_machine: dict = {}
-    for name in sorted(traces):
-        trace = traces[name]
-        groups = trace.active_energy_by_metas(WASTE_KEYS)
-        m_useful = 0.0
-        m_wasted = 0.0
-        for key in sorted(groups, key=_meta_order):
-            req, attempt, tag = key
-            joules = groups[key]
-            reason = None
-            if req is not None:
-                state = state_of.get(req)
-                if state not in DELIVERED_STATES:
-                    reason = state or "unknown"
-                elif attempt is not None and attempt in attempt_outcomes:
-                    reason = attempt_outcomes[attempt]
-                elif tag is not None:
-                    reason = tag
-            elif tag is not None:
-                reason = tag
-            if reason is None:
-                m_useful += joules
-            else:
-                m_wasted += joules
-                by_reason[reason] = by_reason.get(reason, 0.0) + joules
-        useful_j += m_useful
-        wasted_j += m_wasted
-        per_machine[name] = {"useful_j": m_useful, "wasted_j": m_wasted}
-    return {
-        "useful_j": useful_j,
-        "wasted_j": wasted_j,
-        "by_reason_j": dict(sorted(by_reason.items())),
-        "per_machine": per_machine,
-    }
-
-
-def _counts(requests: Sequence[ClusterRequest]) -> dict:
-    counts = {
-        "issued": len(requests),
-        "completed": 0,
-        "degraded_partial": 0,
-        "failed": 0,
-        "shed_degraded": 0,
-    }
-    for request in requests:
-        if request.state == COMPLETED:
-            counts["completed"] += 1
-        elif request.state == DEGRADED_PARTIAL:
-            counts["degraded_partial"] += 1
-        elif request.state == FAILED:
-            counts["failed"] += 1
-        elif request.state == SHED_DEGRADED:
-            counts["shed_degraded"] += 1
-    return counts
+    return waste_ledger(
+        traces, requests,
+        lambda _request, attempt: attempt_outcomes.get(attempt),
+        delivered=DELIVERED_STATES,
+    )
 
 
 def build_cluster_report(config, coordinator: ClusterCoordinator,
@@ -140,23 +81,6 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
     active_energy_j = split["useful_j"] + split["wasted_j"]
     energy_per_query_j = (active_energy_j / n_delivered
                           if n_delivered else None)
-
-    # Per-request energy: one partition per machine, folded by request
-    # id in sorted machine order so the sums are deterministic floats.
-    per_request: dict = {}
-    for name in sorted(traces):
-        by_request = traces[name].active_energy_by_meta("request")
-        by_request.pop(None, None)
-        for rid in sorted(by_request):
-            per_request[rid] = per_request.get(rid, 0.0) + by_request[rid]
-    request_joules = [per_request[k] for k in sorted(per_request)]
-    request_energy = {
-        "n": len(request_joules),
-        "mean_j": (sum(request_joules) / len(request_joules)
-                   if request_joules else None),
-    }
-    for p in PERCENTILES:
-        request_energy[f"p{p}_j"] = percentile(request_joules, p)
 
     nodes_section: dict = {}
     for node in coordinator.nodes:
@@ -222,7 +146,7 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
             "breaker_cooloff_s": config.breaker_cooloff_s,
             "degrade_keep_tenants": config.degrade_keep_tenants,
         },
-        "counts": _counts(requests),
+        "counts": state_counts(requests, CLUSTER_STATES),
         "latency_s": latency_summary(latencies),
         "subrequests": {
             "sent": coordinator.subreqs_sent,
@@ -241,7 +165,7 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
             "node_active_sum_j": node_active_sum_j,
             "wasted_by_reason_j": split["by_reason_j"],
             "energy_per_query_j": energy_per_query_j,
-            "request_energy_j": request_energy,
+            "request_energy_j": request_energy(traces),
         },
         "coordinator": coord_section,
         "nodes": nodes_section,
@@ -272,45 +196,18 @@ def render_cluster_summary(report: dict,
                            elapsed_s: float | None = None) -> str:
     """Human-readable one-screen summary of a cluster report."""
     cfg = report["config"]
-    counts = report["counts"]
-    latency = report["latency_s"]
-    energy = report["energy"]
     subreqs = report["subrequests"]
-    resilience = report["resilience"]
-
-    def fmt(value, unit: str, precision: str = ".4g") -> str:
-        return "n/a" if value is None else f"{value:{precision}} {unit}"
-
     lines = [
         f"cluster: nodes={cfg['nodes']} rf={cfg['replication']} "
         f"queries={cfg['queries']} clients={cfg['clients']} "
         f"seed={cfg['seed']}",
-        "counts: " + "  ".join(
-            f"{key}={value}" for key, value in counts.items()
-        ),
+        *summary_lines(report, report["clock"]["makespan_s"]),
         f"subrequests: sent={subreqs['sent']}  "
         f"hedged={subreqs['hedges']} (won {subreqs['hedge_wins']})  "
         f"failovers={subreqs['failovers']}  "
         f"timeouts={subreqs['timeouts']}  "
-        f"shed={resilience['shed_degraded']}",
-        f"latency: p50={fmt(latency['p50_s'], 's')}  "
-        f"p95={fmt(latency['p95_s'], 's')}  "
-        f"p99={fmt(latency['p99_s'], 's')}  "
-        f"mean={fmt(latency['mean_s'], 's')}",
-        f"energy: active={energy['active_energy_j']:.4g} J "
-        f"({energy['domain']})  "
-        f"per-query={fmt(energy['energy_per_query_j'], 'J')}  "
-        f"makespan={report['clock']['makespan_s']:.4g} s",
+        f"shed={report['resilience']['shed_degraded']}",
     ]
-    reasons = ", ".join(
-        f"{reason}={joules:.3g} J" for reason, joules in
-        list(energy["wasted_by_reason_j"].items())[:6]
-    ) or "none"
-    lines.append(
-        f"waste: useful={energy['useful_energy_j']:.4g} J  "
-        f"wasted={energy['wasted_energy_j']:.4g} J  "
-        f"reasons: {reasons}"
-    )
     if elapsed_s is not None and elapsed_s > 0:
         lines.append(
             f"engine: mode={cfg['exec_mode']}  host={elapsed_s:.3f} s  "

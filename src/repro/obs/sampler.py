@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigError, TraceError
@@ -184,27 +185,35 @@ class TelemetrySummary:
             return 0.0
         return self.background.rate(self.domain)
 
-    def _active(self, entry: list) -> float:
-        core_j, package_j, dram_j, time_s = entry
-        return (domain_energy_j(core_j, package_j, dram_j, self.domain)
-                - self._background_w() * time_s)
+    @cached_property
+    def _active_entries(self) -> list:
+        """``(meta, active_j)`` for every meta tuple, in :func:`meta_order`.
+
+        Built once per summary; every partition below folds this list,
+        so all of them visit the same floats in the same order.
+        """
+        background_w = self._background_w()
+        domain = self.domain
+        return [
+            (meta, domain_energy_j(core_j, package_j, dram_j, domain)
+             - background_w * time_s)
+            for meta, (core_j, package_j, dram_j, time_s) in sorted(
+                self.meta_energy.items(), key=lambda kv: meta_order(kv[0]))
+        ]
 
     @property
     def total_active_j(self) -> float:
         """Measured Active energy of the whole window (exact sum of the
         meta-partition — the same partition the split reports)."""
-        return sum(self._active(entry)
-                   for _, entry in sorted(self.meta_energy.items(),
-                                          key=lambda kv: _order(kv[0])))
+        return sum(active for _, active in self._active_entries)
 
     def active_energy_by_meta(self, key: str) -> dict:
         """Partition Active energy by one inherited meta key."""
         index = META_KEYS.index(key)
         groups: dict = {}
-        for meta, entry in sorted(self.meta_energy.items(),
-                                  key=lambda kv: _order(kv[0])):
+        for meta, active in self._active_entries:
             owner = meta[index]
-            groups[owner] = groups.get(owner, 0.0) + self._active(entry)
+            groups[owner] = groups.get(owner, 0.0) + active
         return groups
 
     def active_energy_by_metas(self, keys: tuple) -> dict:
@@ -212,23 +221,10 @@ class TelemetrySummary:
         (exactly :meth:`repro.obs.span.Trace.active_energy_by_metas`)."""
         indices = [META_KEYS.index(key) for key in keys]
         groups: dict = {}
-        for meta, entry in sorted(self.meta_energy.items(),
-                                  key=lambda kv: _order(kv[0])):
+        for meta, active in self._active_entries:
             owner = tuple(meta[i] for i in indices)
-            groups[owner] = groups.get(owner, 0.0) + self._active(entry)
+            groups[owner] = groups.get(owner, 0.0) + active
         return groups
-
-    def request_energy_j(self) -> dict:
-        """Active joules per request id (attempts and tags summed)."""
-        per_request: dict = {}
-        for meta, entry in sorted(self.meta_energy.items(),
-                                  key=lambda kv: _order(kv[0])):
-            request = meta[META_KEYS.index("request")]
-            if request is None:
-                continue
-            per_request[request] = (per_request.get(request, 0.0)
-                                    + self._active(entry))
-        return per_request
 
     # ------------------------------------------------------------ views
 
@@ -273,9 +269,10 @@ class TelemetrySummary:
         return "\n".join(lines)
 
 
-def _order(meta: tuple) -> tuple:
-    """Deterministic sort key over heterogeneous meta tuples."""
-    return tuple((v is None, str(v)) for v in meta)
+def meta_order(meta: tuple) -> list:
+    """Deterministic sort key over heterogeneous meta tuples (a list:
+    it compares like the tuple and builds faster)."""
+    return [(v is None, str(v)) for v in meta]
 
 
 def _hist_summary(hist: Histogram) -> dict:

@@ -18,11 +18,13 @@ one :class:`~repro.db.engine.Database` and one
   is no later than the earliest busy core's clock, the arrival is
   processed (admission, then dispatch); otherwise that core runs one
   *quantum* — up to ``quantum_rows`` units of the request's work,
-  preceded by a context switch charged on the machine.  Work iterators
-  that expose ``run_rows(n)`` execute the whole quantum as one batched
-  call (micro-ops flow through ``machine.exec`` in bulk); plain
-  iterators are pulled row by row.  Both paths charge identical
-  micro-ops, so reports stay bit-identical across engines and modes.
+  preceded by a context switch charged on the machine.  Every work
+  iterator speaks the batched-quantum protocol: ``run_rows(n)``
+  executes the whole quantum in one call (micro-ops flow through
+  ``machine.exec`` in bulk) and charges exactly what ``n`` single-row
+  pulls would, so reports stay bit-identical across engines and modes.
+  The per-row oracle that holds iterators to this lives in the tests
+  and in ``repro bench``, outside the loop.
 * Multiprogramming: each core round-robins a run list of up to ``mpl``
   requests, each bound to a distinct execution slot (its own temp
   arena), so interleaved plans never trample each other's state.
@@ -96,8 +98,8 @@ class ServeConfig:
     #: Simulator execution engine ("batched" is bit-identical to
     #: "reference"; see repro.sim.batch).
     exec_mode: str = "batched"
-    # --- resilience / chaos (all default off; a plain serve run is
-    # byte-identical to one configured before these fields existed) ---
+    # --- resilience / chaos (all default off: no fault site armed, no
+    # retry, deadline or breaker hook on the serving path) ---
     #: Fault plan for chaos runs (None = no injection anywhere).
     faults: Optional[FaultPlan] = None
     #: Max retries per request after a failed attempt (0 = fail fast).
@@ -119,8 +121,7 @@ class ServeConfig:
     breaker_cooloff_s: float = 0.1
     #: Tenants (by index) still served while the breaker is open.
     degrade_keep_tenants: int = 1
-    # --- telemetry (default "full" keeps the pre-telemetry behaviour:
-    # span tracer over the whole run, byte-identical reports) ---
+    # --- telemetry (default "full": span tracer over the whole run) ---
     #: "full" = span tracer (exact per-span tree, unaffordable at
     #: production scale); "sampler" = streaming aggregates + exemplar
     #: reservoir (always-on mode); "off" = whole-window totals only.
@@ -135,29 +136,6 @@ class ServeConfig:
     timeline_out: Optional[str] = None
     #: Timeline window width in simulated seconds.
     timeline_window_s: float = 0.01
-
-    @property
-    def telemetric(self) -> bool:
-        """True when any telemetry knob left its default.
-
-        Gates the report's ``telemetry`` section the same way
-        :attr:`resilient` gates the resilience keys: an all-default
-        config produces byte-identical output to the pre-telemetry
-        server.
-        """
-        return self.telemetry != "full" or self.timeline_out is not None
-
-    @property
-    def resilient(self) -> bool:
-        """True when any fault/resilience machinery is switched on.
-
-        Gates every new report key and runtime hook, so a config that
-        leaves all of this at defaults produces byte-identical output to
-        the pre-resilience server.
-        """
-        return (self.faults is not None or self.retries > 0
-                or self.deadline_s is not None
-                or self.breaker_threshold is not None)
 
     def validate(self) -> "ServeConfig":
         if self.clients < 1:
@@ -470,12 +448,11 @@ class QueryServer:
 
     def _run_quantum(self, core: Core) -> None:
         request = core.run_list.pop(0)
-        finished = False
         injector = self.injector
-        rows_before = request.rows
+        done = 0
 
         def work() -> None:
-            nonlocal finished
+            nonlocal done
             self.core_set.context_switch(core, request)
             if injector is not None and injector.request_error():
                 raise FaultError(
@@ -483,27 +460,11 @@ class QueryServer:
                     f"(request {request.request_id}, "
                     f"attempt {request.failures + 1})"
                 )
-            it = request.work_iter(request.slot)
-            run_rows = getattr(it, "run_rows", None)
-            if run_rows is not None:
-                # Batched-quantum protocol: the iterator executes the
-                # whole quantum in one call and reports how many units
-                # it completed (fewer than asked = exhausted).  It must
-                # charge exactly the micro-ops `quantum_rows` pulls
-                # would; both engines use this path whenever the
-                # iterator provides it, so cross-engine reports agree
-                # by construction.
-                done = run_rows(self.quantum_rows)
-                request.rows += done
-                finished = done < self.quantum_rows
-                return
-            for _ in range(self.quantum_rows):
-                try:
-                    next(it)
-                except StopIteration:
-                    finished = True
-                    return
-                request.rows += 1
+            # Batched-quantum protocol: the iterator executes the whole
+            # quantum in one call and reports how many units it
+            # completed (fewer than asked = exhausted).
+            done = request.work_iter(request.slot).run_rows(
+                self.quantum_rows)
 
         try:
             with self.machine.tracer.span(
@@ -516,21 +477,18 @@ class QueryServer:
             ):
                 self.core_set.run_on(core, work)
         except FaultError:
-            # The killed attempt delivered nothing to the client: roll
-            # back any rows it accrued mid-quantum (faults can surface
-            # from inside the work iterator, between row pulls) so
-            # ``request.rows`` always equals rows actually delivered.
-            # Retries reset the count anyway; this covers attempts that
-            # fail for good or expire, which used to keep the partial
-            # progress of their final, undelivered quantum.
-            request.rows = rows_before
+            # The killed attempt delivered nothing to the client, so
+            # ``request.rows`` (rows actually delivered) is left as is;
+            # faults can surface from inside the work iterator, after
+            # some of the quantum's rows were produced.
             request.quanta += 1
             self.quanta += 1
             self._attempt_failed(request, core)
             return
+        request.rows += done
         request.quanta += 1
         self.quanta += 1
-        if finished:
+        if done < self.quantum_rows:
             request.state = COMPLETED
             request.finish_s = core.clock_s
             self._release_core_slot(request, core)

@@ -3,9 +3,11 @@
 A :class:`JobTemplate` is an issuable query shape — a name, the base
 tables it touches (the locality policy's key), a planner cost estimate
 (the SJF policy's key), and a factory producing a fresh work iterator.
-One ``next()`` on the iterator is one unit of progress (a result row
-for SQL jobs, one operation for key-value jobs); the serving layer
-time-slices by pulling a quantum of units at a time.
+The iterator speaks the batched-quantum protocol: ``run_rows(n)``
+makes up to ``n`` units of progress (a result row for SQL jobs, one
+operation for key-value jobs) in one call and returns how many it made,
+fewer than ``n`` once the work is exhausted.  The serving layer
+time-slices by running a quantum of units at a time.
 
 A :class:`Request` is one issued instance of a template: it carries the
 tenant, the arrival time, and the lifecycle state the report
@@ -73,7 +75,7 @@ class Request:
     slot: Optional[int] = None
     #: Failed attempts so far (attempt number = failures + 1).
     failures: int = 0
-    #: Execution deadline relative to arrival (resilient runs only).
+    #: Execution deadline relative to arrival (None = none).
     deadline_s: Optional[float] = None
     _iter: Optional[Iterator] = field(default=None, repr=False)
 

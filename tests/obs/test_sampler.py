@@ -155,6 +155,17 @@ class TestAggregator:
 
 
 class TestServeModes:
+    def test_plain_serve_report_unchanged_by_default(self):
+        """The default telemetry mode is "full": its section carries only
+        the mode, and the simulated numbers match an explicit "full" run."""
+        config = dict(tier="10MB", queries=8, clients=2, seed=2, scale=64)
+        report = run_serve(ServeConfig(**config))
+        assert report["telemetry"] == {"mode": "full"}
+        assert report["config"]["telemetry"] == "full"
+        full = run_serve(ServeConfig(telemetry="full", **config))
+        assert (json.dumps(report, sort_keys=True)
+                == json.dumps(full, sort_keys=True))
+
     def test_off_mode_matches_sampler_counts(self, chaos_reports):
         off = run_serve(_chaos_config(telemetry="off"))
         sampled = chaos_reports[1.0]
@@ -165,9 +176,3 @@ class TestServeModes:
         assert "telemetry" in off  # mode recorded even when off
         assert off["telemetry"]["mode"] == "off"
         assert "groups" not in off["telemetry"]
-
-    def test_plain_serve_report_unchanged_by_default(self):
-        report = run_serve(ServeConfig(tier="10MB", queries=8, clients=2,
-                                       seed=2, scale=64))
-        assert "telemetry" not in report
-        assert "telemetry" not in report["config"]

@@ -20,6 +20,7 @@ import json
 import pytest
 
 from repro import Machine, intel_i7_4790
+from repro.bench import run_rows_by_next
 from repro.faults import FaultPlan
 from repro.serve import ServeConfig, run_serve
 from repro.serve.workload import (
@@ -140,10 +141,10 @@ class TestRunRowsProtocol:
 
 
 class TestSqlMixRunRowsVsNext:
-    """The serve loop engages ``run_rows`` whenever the work iterator
-    provides it; hiding the method forces the legacy per-row ``next``
-    quantum.  Both paths must produce byte-identical whole reports on
-    the SQL mixes, across the policy x fault x deadline grid."""
+    """The serve loop runs every quantum through ``run_rows``; patching
+    the per-row oracle (``n`` counted ``next`` pulls) over
+    ``SessionRows.run_rows`` must produce byte-identical whole reports
+    on the SQL mixes, across the policy x fault x deadline grid."""
 
     GRID = [
         dict(policy="fifo"),
@@ -168,7 +169,7 @@ class TestSqlMixRunRowsVsNext:
         from repro.db.engine import SessionRows
 
         with monkeypatch.context() as m:
-            m.delattr(SessionRows, "run_rows")
+            m.setattr(SessionRows, "run_rows", run_rows_by_next)
             report = run_serve(_config(exec_mode, **overrides))
         report.pop("config")
         return json.dumps(report, sort_keys=True)

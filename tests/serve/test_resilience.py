@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bench import run_rows_by_next
 from repro.errors import ConfigError, FaultError
 from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
@@ -140,15 +141,72 @@ class TestCircuitBreaker:
         assert not breaker.degraded(0.3)
 
 
+def _key_shape(report: dict) -> dict:
+    """The key sets of every section whose keys do not depend on what
+    happened in the run (tenant names, fault sites, waste reasons,
+    metric names and sampler telemetry do)."""
+    shape = {
+        "": set(report),
+        "config": set(report["config"]),
+        "counts": set(report["counts"]),
+        "latency_s": set(report["latency_s"]),
+        "energy": set(report["energy"]),
+        "energy.request_energy_j": set(report["energy"]["request_energy_j"]),
+        "clock": set(report["clock"]),
+        "resilience": set(report["resilience"]),
+    }
+    for name, tenant in report["tenants"].items():
+        shape[f"tenants.{name}"] = set(tenant)
+        shape[f"tenants.{name}.counts"] = set(tenant["counts"])
+        shape[f"tenants.{name}.latency_s"] = set(tenant["latency_s"])
+    return shape
+
+
+class TestOneReportShape:
+    """Every serve config produces one report key shape (schema v2)."""
+
+    def test_every_config_reports_one_shape(self):
+        default = run_serve(small_config())
+        chaos = run_serve(small_config(
+            faults=FaultPlan(request_error_p=0.2, core_stall_p=0.1),
+            retries=2, deadline_s=0.05,
+        ))
+        sampler = run_serve(small_config(telemetry="sampler"))
+        off = run_serve(small_config(telemetry="off"))
+        assert chaos["resilience"]["faults_injected"]
+        shape = _key_shape(default)
+        for report in (chaos, sampler, off):
+            assert _key_shape(report) == shape
+            assert "mode" in report["telemetry"]
+        assert default["telemetry"] == {"mode": "full"}
+        # A plain, fault-free run reports its split too: nothing wasted,
+        # and the conservation identity holds exactly.
+        energy = default["energy"]
+        assert energy["wasted_energy_j"] == 0.0
+        assert energy["wasted_by_reason_j"] == {}
+        assert (energy["useful_energy_j"] + energy["wasted_energy_j"]
+                == energy["active_energy_j"])
+
+
 class TestPlainRunUnchanged:
-    """A config with no resilience switched on must not change shape."""
+    """Zero faults cost nothing: the simulation itself does not move."""
 
     def test_no_resilience_keys(self):
+        """A plain run reports the resilience section, but nothing in it
+        moved: no faults, retries, trips or stalls, and no wasted energy."""
         report = run_serve(small_config())
-        assert "resilience" not in report
-        assert "useful_energy_j" not in report["energy"]
-        assert "failed" not in report["counts"]
-        assert "faults" not in report["config"]
+        assert report["config"]["faults"] is None
+        assert report["resilience"] == {
+            "faults_injected": {}, "retries_spent": 0, "breaker_trips": 0,
+            "core_stalls": 0, "disk_fault_errors": 0,
+            "disk_fault_slowdowns": 0, "disk_read_retries": 0,
+        }
+        counts = report["counts"]
+        assert counts["failed"] == 0
+        assert counts["deadline_exceeded"] == 0
+        assert counts["shed_degraded"] == 0
+        assert report["energy"]["wasted_energy_j"] == 0.0
+        assert report["energy"]["wasted_by_reason_j"] == {}
 
     def test_all_zero_fault_plan_is_free(self):
         """FaultPlan() with every probability zero arms nothing: the
@@ -356,8 +414,8 @@ class TestDeadlineRetryInterplay:
 class TestFailedAttemptRowAccounting:
     """Regression: rows accrued by a fault-killed attempt must not stick
     to the request — the client never received them.  Faults can surface
-    from *inside* the work iterator (disk faults between row pulls), so
-    the quantum may have already counted rows when the attempt dies."""
+    from *inside* the work iterator (disk faults between row pulls),
+    after the quantum has already produced some of its rows."""
 
     def _server_with_faulty_job(self):
         from repro import Machine, tiny_intel
@@ -370,11 +428,21 @@ class TestFailedAttemptRowAccounting:
         machine = Machine(tiny_intel())
         db = Database(machine, postgres_like(), name="rows")
 
-        def faulty(slot):
-            def gen():
-                yield from range(3)
+        class Faulty:
+            """Three rows into its first quantum, a fault surfaces."""
+
+            def __init__(self):
+                self._rows = iter(range(3))
+
+            def __next__(self):
+                for row in self._rows:
+                    return row
                 raise FaultError("injected mid-quantum")
-            return gen()
+
+            run_rows = run_rows_by_next
+
+        def faulty(slot):
+            return Faulty()
 
         class _Driver:
             tenants = 1

@@ -191,8 +191,8 @@ class TestChaosCommand:
     def test_chaos_prints_summary(self, capsys):
         assert main(self.ARGV + ["--scenario", "flaky"]) == 0
         out = capsys.readouterr().out
-        assert "requests:" in out
-        assert "useful" in out and "wasted" in out
+        assert "counts:" in out and "resilience: faults=" in out
+        assert "useful=" in out and "wasted=" in out
 
     def test_chaos_json_has_resilience_section(self, capsys):
         assert main(self.ARGV + ["--scenario", "flaky", "--json"]) == 0
